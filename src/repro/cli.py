@@ -7,7 +7,7 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro run all --scale small        # regenerate everything
     repro simulate --family hetero_phy_torus --chiplets 4x4 --nodes 4x4 \
                    --pattern uniform --rate 0.1 --seed 7
-    repro simulate --metrics out/ --trace run.json --epoch 500 --profile
+    repro simulate --metrics out/ --trace run.json --epoch 500
     repro check --all                  # statically verify every family
     repro check --family serial_torus --mode wormhole
     repro prove --all --json prove.json   # full certification, both modes
@@ -180,16 +180,9 @@ def _cmd_simulate(args) -> int:
         config = config.halved()
     spec = build_system(args.family, grid, config)
     telemetry = None
-    if args.profile:
-        print(
-            "note: `repro simulate --profile` is deprecated — use "
-            "`repro profile` for the phase table plus speedscope/flamegraph "
-            "artifacts",
-            file=sys.stderr,
-        )
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
     epoch_wanted = bool(
-        args.metrics or args.trace or args.profile or args.progress
+        args.metrics or args.trace or args.progress
         or breakdown_wanted or args.live
     )
     forensics_wanted = (
@@ -212,7 +205,6 @@ def _cmd_simulate(args) -> int:
             trace_path=args.trace,
             epoch_length=args.epoch,
             progress=args.progress,
-            profile=args.profile,
             latency_breakdown=bool(breakdown_wanted),
             breakdown_csv=args.breakdown_csv,
             # A forensics-only config must not attach the epoch collector:
@@ -299,17 +291,20 @@ def _cmd_simulate(args) -> int:
         # same-seed invocations print byte-identical output.
         manifest = " ".join(f"{key}={value}" for key, value in artifacts.items())
         print(f"artifacts : {manifest}")
-    if result.telemetry is not None and result.telemetry.profile_text:
-        print()
-        print(result.telemetry.profile_text.rstrip())
     return 0
 
 
 def _cmd_profile(args) -> int:
+    import cProfile
+    import pstats
+
     from repro.telemetry import TelemetryConfig
     from repro.telemetry.hostprof import (
         HostprofError,
+        collapsed_stacks,
+        fold_profile,
         render_host_table,
+        speedscope_document,
         write_speedscope,
     )
 
@@ -355,26 +350,19 @@ def _cmd_profile(args) -> int:
     _write_json_doc(str(host_path), summary)
     # Pass 2 — cProfile (same seed, so the same run), folded into the
     # phase-rooted speedscope + collapsed-stack flamegraph artifacts.
-    profile_config = TelemetryConfig(
-        profile=True, profile_top=args.top, epoch_metrics=False
-    )
-    try:
-        profiled = run_synthetic(
-            spec,
-            args.pattern,
-            args.rate,
-            policy=args.policy,
-            seed=args.seed,
-            telemetry=profile_config,
-        )
-    except (RuntimeError, AssertionError) as exc:
-        return _report_failure(spec.name, exc)
-    report = profiled.telemetry.profile_report
-    doc = report.speedscope(name=f"{spec.name} {result.workload}")
+    with cProfile.Profile() as profiler:
+        try:
+            run_synthetic(
+                spec, args.pattern, args.rate, policy=args.policy, seed=args.seed
+            )
+        except (RuntimeError, AssertionError) as exc:
+            return _report_failure(spec.name, exc)
+    rows = fold_profile(profiler)
+    doc = speedscope_document(rows, name=f"{spec.name} {result.workload}")
     ss_path = write_speedscope(doc, out_dir / "profile.speedscope.json")
     print(f"wrote {ss_path}  (load at https://www.speedscope.app)")
     folded_path = out_dir / "profile.folded.txt"
-    folded_path.write_text(report.collapsed(), encoding="utf-8")
+    folded_path.write_text(collapsed_stacks(rows), encoding="utf-8")
     print(f"wrote {folded_path}  (flamegraph.pl / inferno collapsed stacks)")
     if args.mem:
         # Pass 3 — memory ledger (tracemalloc roughly doubles allocation
@@ -398,7 +386,8 @@ def _cmd_profile(args) -> int:
         _write_json_doc(str(out_dir / "profile.mem.json"), mem_block)
     if args.pstats:
         print()
-        print(report.text().rstrip())
+        stats = pstats.Stats(profiler, stream=sys.stdout)
+        stats.sort_stats("cumulative").print_stats(args.top)
     return 0
 
 
@@ -943,12 +932,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1_000,
         help="epoch length in cycles for --metrics time series (default: 1000)",
-    )
-    sim_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="deprecated: profile with cProfile and print the hottest "
-        "functions (use `repro profile` instead)",
     )
     sim_p.add_argument(
         "--progress",

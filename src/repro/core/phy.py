@@ -111,26 +111,6 @@ class HeteroPhyLink(Link):
         self._deliver_credits(now)
         return self._holds_state()
 
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Same sub-step order; ``t`` is the caller's last clock reading and
-        each sub-step charges ``pc() - t`` to its phase (see
-        :meth:`repro.noc.link.Link.step_timed`).  Receive/reorder time
-        (ROB insert + release + downstream delivery) lands in
-        ``"phy_rx"``, serialize/dispatch and credit delivery in
-        ``"phy_tx"``.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        self._receive(now)
-        t2 = pc()
-        phases["phy_rx"] += t2 - t
-        self._dispatch(now)
-        self._deliver_credits(now)
-        t3 = pc()
-        phases["phy_tx"] += t3 - t2
-        return self._holds_state(), t3
-
     def _holds_state(self) -> bool:
         """True while any queue, pipe, ROB slot or pending credit is live."""
         return bool(

@@ -117,23 +117,6 @@ class Link:
         """Advance one cycle; return True while the link still holds state."""
         raise NotImplementedError
 
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        ``t`` is the caller's last clock reading; the step charges
-        ``pc() - t`` to its phase and returns ``(still_active,
-        last_timestamp)``, so attribution is exact and clock overhead
-        lands in the phase it follows.  Plain links bank the whole step
-        under ``"link"``; :class:`repro.core.phy.HeteroPhyLink` overrides
-        this to split receive (``"phy_rx"``) from serialize/dispatch
-        (``"phy_tx"``).  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        alive = self.step(now)
-        t2 = pc()
-        phases["link"] += t2 - t
-        return alive, t2
-
     def return_credit(self, vc: int, now: int) -> None:
         """Schedule a credit back to the transmitter for buffer slot ``vc``."""
         self._credit_queue.append((now + self._credit_delay, vc))

@@ -161,49 +161,6 @@ class Network:
         if self.telemetry.cycle_end is not None:
             self.telemetry.cycle_end(self, now)
 
-    def step_timed(
-        self, now: int, pc: Callable[[], int], phases: dict[str, int], t: int
-    ) -> int:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Mirrors :meth:`step` exactly — same work-list swap and the same
-        entity order (step order affects VC-allocation arrival order, so
-        reordering would change simulated behaviour).  ``t`` is the
-        caller's last clock reading; each entity charges its lap into
-        ``phases`` via its own ``step_timed`` (links split plain-link vs.
-        hetero-PHY rx/tx; routers split RC/VA vs. SA/ST), so attribution
-        is exact — work-list bookkeeping and clock overhead land in the
-        phase they precede, never in a residual.  Returns the final clock
-        reading.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        if not self._finalized:
-            raise RuntimeError("call finalize() before stepping the network")
-        links = self.links
-        work = self._link_work
-        self._link_work = []
-        for idx in work:
-            alive, t = links[idx].step_timed(now, pc, phases, t)
-            if alive:
-                self._link_work.append(idx)
-            else:
-                self._link_active[idx] = False
-        routers = self.routers
-        work_r = self._router_work
-        self._router_work = []
-        for node in work_r:
-            alive, t = routers[node].step_timed(now, pc, phases, t)
-            if alive:
-                self._router_work.append(node)
-            else:
-                self._router_active[node] = False
-        if self.telemetry.cycle_end is not None:
-            self.telemetry.cycle_end(self, now)
-            t2 = pc()
-            phases["telemetry"] += t2 - t
-            t = t2
-        return t
-
     def inject(self, packet: Packet) -> None:
         """Hand a freshly generated packet to its source router."""
         if self.telemetry.packet_inject is not None:

@@ -226,28 +226,6 @@ class Router:
             self._stage_sa(now)
         return bool(self._pending or self._active)
 
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Calls the same stage methods in the same order.  ``t`` is the
-        caller's last clock reading; each stage charges ``pc() - t`` to
-        its phase and advances the lap, so attribution is exact — clock
-        overhead lands in the phase it follows, never in a residual.
-        Returns ``(still_active, last_timestamp)``.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        if self._pending:
-            self._stage_rc_va(now)
-            t2 = pc()
-            phases["rc_va"] += t2 - t
-            t = t2
-        if self._active:
-            self._stage_sa(now)
-            t2 = pc()
-            phases["sa_st"] += t2 - t
-            t = t2
-        return bool(self._pending or self._active), t
-
     # Routing computation + VC allocation.
     def _stage_rc_va(self, now: int) -> None:
         route = self.routing_fn

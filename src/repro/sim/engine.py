@@ -10,56 +10,11 @@ this is how the deadlock-freedom tests exercise Theorem 1.
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
-from typing import Any, Iterable, Optional, Protocol
+from typing import Iterable, Optional, Protocol
 
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from .stats import DeadlockError, DrainTimeoutError, Stats
-
-
-class ProfileReport:
-    """A cProfile capture of one engine run, plus folding helpers.
-
-    Returned by :meth:`Engine.run_profiled`.  The raw profiler stays
-    accessible as ``.profile`` so callers can fold it into flamegraph /
-    speedscope artifacts (see :mod:`repro.telemetry.hostprof`); ``text()``
-    renders the classic :mod:`pstats` table.
-    """
-
-    def __init__(
-        self, profile: cProfile.Profile, *, sort: str = "cumulative", top: int = 25
-    ) -> None:
-        self.profile = profile
-        self.sort = sort
-        self.top = top
-
-    def text(self, *, sort: Optional[str] = None, top: Optional[int] = None) -> str:
-        """The ``top`` hottest functions sorted by ``sort`` (pstats keys)."""
-        buffer = io.StringIO()
-        stats = pstats.Stats(self.profile, stream=buffer)
-        stats.sort_stats(sort or self.sort).print_stats(top or self.top)
-        return buffer.getvalue()
-
-    def folded(self) -> list[tuple[tuple[str, ...], int]]:
-        """Phase-rooted folded stacks (``hostprof.fold_profile``)."""
-        from repro.telemetry.hostprof import fold_profile
-
-        return fold_profile(self.profile)
-
-    def collapsed(self) -> str:
-        """Collapsed-stack flamegraph text (``flamegraph.pl`` input)."""
-        from repro.telemetry.hostprof import collapsed_stacks
-
-        return collapsed_stacks(self.folded())
-
-    def speedscope(self, *, name: str = "repro profile") -> dict[str, Any]:
-        """Speedscope-compatible JSON document of the folded stacks."""
-        from repro.telemetry.hostprof import speedscope_document
-
-        return speedscope_document(self.folded(), name=name)
 
 
 class Workload(Protocol):
@@ -95,12 +50,6 @@ class Engine:
         #: any failure escaping :meth:`run` / :meth:`run_until_drained`
         #: writes a bundle first and gains a ``bundle_path`` attribute.
         self.forensics = None
-        #: Optional host-time ledger (duck-typed
-        #: :class:`repro.telemetry.hostprof.HostTimeLedger`).  When set,
-        #: ticks route through :meth:`_tick_profiled`, which attributes
-        #: wall time to named phases; when ``None`` the plain tick runs
-        #: and the engine behaves identically (passive observer).
-        self.hostprof = None
         #: Optional live feed (duck-typed
         #: :class:`repro.telemetry.live.LiveFeed`).  When set, a failure
         #: escaping :meth:`run` / :meth:`run_until_drained` lands in the
@@ -112,7 +61,7 @@ class Engine:
     def run(self, cycles: int) -> Stats:
         """Advance the simulation by ``cycles`` cycles."""
         end = self.cycle + cycles
-        tick = self._tick if self.hostprof is None else self._tick_profiled
+        tick = self._tick
         try:
             while self.cycle < end:
                 tick()
@@ -131,7 +80,7 @@ class Engine:
         ``max_cycles``.
         """
         deadline = self.cycle + max_cycles
-        tick = self._tick if self.hostprof is None else self._tick_profiled
+        tick = self._tick
         try:
             while self.cycle < deadline:
                 tick()
@@ -194,33 +143,6 @@ class Engine:
             except Exception:  # noqa: BLE001 - telemetry must not mask the failure
                 pass
 
-    def run_profiled(
-        self,
-        cycles: int,
-        *,
-        drain: bool = False,
-        sort: str = "cumulative",
-        top: int = 25,
-    ) -> tuple[Stats, ProfileReport]:
-        """Run under :mod:`cProfile`; return ``(stats, ProfileReport)``.
-
-        With ``drain=True`` this wraps :meth:`run_until_drained` (``cycles``
-        becomes the drain deadline); otherwise :meth:`run`.  The report
-        defaults to the ``top`` hottest functions sorted by ``sort`` (any
-        :mod:`pstats` sort key) and can be folded into flamegraph /
-        speedscope artifacts — ``repro profile`` is the CLI front end.
-        """
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            if drain:
-                self.run_until_drained(cycles)
-            else:
-                self.run(cycles)
-        finally:
-            profiler.disable()
-        return self.stats, ProfileReport(profiler, sort=sort, top=top)
-
     def _empty(self) -> bool:
         return self.network.buffered_flits() == 0 and self.network.in_flight_flits() == 0
 
@@ -241,45 +163,3 @@ class Engine:
             if buffered > 0:
                 raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
             stats.last_movement_cycle = now
-
-    def _tick_profiled(self) -> None:
-        """:meth:`_tick` with host wall-time attribution.
-
-        Same statement order and semantics as :meth:`_tick`; the only
-        additions are ``perf_counter_ns`` reads at phase boundaries,
-        chained lap-timer style (each phase charges the time since the
-        previous reading), so every timed nanosecond is attributed — the
-        conservation check in :mod:`repro.telemetry.hostprof` would catch
-        any phase this tick forgot to charge.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.  Stride-skipped cycles
-        run the plain tick so sampling overhead stays near zero.
-        """
-        ledger = self.hostprof
-        now = self.cycle
-        if not ledger.wants(now):
-            self._tick()
-            ledger.note_plain_cycle()
-            return
-        pc = ledger.clock
-        phases = ledger.phases
-        t0 = pc()
-        stats = self.stats
-        stats.now = now
-        for packet in self.workload.step(now):
-            stats.note_packet_injected(packet)
-            self.network.inject(packet)
-        t1 = pc()
-        phases["inject"] += t1 - t0
-        t2 = self.network.step_timed(now, pc, phases, t1)
-        self.cycle = now + 1
-        if (
-            self.deadlock_threshold is not None
-            and now - stats.last_movement_cycle > self.deadlock_threshold
-        ):
-            buffered = self.network.buffered_flits()
-            if buffered > 0:
-                raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
-            stats.last_movement_cycle = now
-        t3 = pc()
-        phases["stats"] += t3 - t2
-        ledger.note_timed_cycle(t3 - t0)

@@ -123,8 +123,8 @@ def run_synthetic(
     """Simulate one synthetic-pattern point (one marker of Fig 11/14).
 
     Pass a :class:`~repro.telemetry.TelemetryConfig` as ``telemetry`` to
-    collect per-epoch metrics, a Chrome trace, live progress and/or a
-    cProfile report; the finalized session lands on ``RunResult.telemetry``.
+    collect per-epoch metrics, a Chrome trace, live progress and/or host-time
+    attribution; the finalized session lands on ``RunResult.telemetry``.
     """
     config = spec.config
     cycles = cycles if cycles is not None else config.sim_cycles
@@ -149,8 +149,9 @@ def run_synthetic(
             network, telemetry, warmup=warmup, total_cycles=cycles
         )
         engine.forensics = session.forensics
-        engine.hostprof = session.hostprof
         engine.livefeed = session.live
+        if session.hostprof is not None:
+            session.hostprof.attach(engine)
         if session.digest is not None:
             grid = spec.grid
             session.digest.meta = {
@@ -183,15 +184,12 @@ def run_synthetic(
                 }
             )
     start = time.perf_counter()
-    if session is not None and telemetry is not None and telemetry.profile:
-        _, report = engine.run_profiled(cycles, top=telemetry.profile_top)
-        session.profile_report = report
-        session.profile_text = report.text()
-    else:
+    try:
         engine.run(cycles)
-    wall_seconds = time.perf_counter() - start
-    if session is not None:
-        session.finalize(engine.cycle)
+    finally:
+        wall_seconds = time.perf_counter() - start
+        if session is not None:
+            session.finalize(engine.cycle)
     return RunResult(
         system=spec.name,
         workload=workload_name,
@@ -236,8 +234,9 @@ def run_trace(
             network, telemetry, warmup=warmup, total_cycles=None
         )
         engine.forensics = session.forensics
-        engine.hostprof = session.hostprof
         engine.livefeed = session.live
+        if session.hostprof is not None:
+            session.hostprof.attach(engine)
         if session.digest is not None:
             # Trace replays carry no synthetic-workload descriptor, so the
             # meta is not re-simulable; ``repro diff`` then localizes only
@@ -270,14 +269,7 @@ def run_trace(
             )
     start = time.perf_counter()
     try:
-        if session is not None and telemetry is not None and telemetry.profile:
-            _, report = engine.run_profiled(
-                deadline, drain=True, top=telemetry.profile_top
-            )
-            session.profile_report = report
-            session.profile_text = report.text()
-        else:
-            engine.run_until_drained(deadline)
+        engine.run_until_drained(deadline)
     except RuntimeError:
         if strict:
             raise

@@ -32,8 +32,9 @@
   ``repro golden`` (``repro.telemetry.digest`` /
   ``repro.telemetry.diff``);
 * :class:`HostTimeLedger` — host wall-time attribution across engine /
-  router / link / PHY phases plus cProfile→speedscope folding, driven by
-  ``repro profile`` (``repro.telemetry.hostprof``);
+  router / link / PHY phases by lap-timing wrappers it installs at attach
+  time, plus cProfile→speedscope folding, driven by ``repro profile``
+  (``repro.telemetry.hostprof``);
 * :class:`MemLedger` — tracemalloc/``ru_maxrss`` heap observability with
   allocation sites folded to the same phase taxonomy, riding an untimed
   ``repro bench`` rep and ``repro profile --mem``
@@ -62,7 +63,7 @@ from .attribution import (
     LatencyLedger,
     render_breakdown,
 )
-from .bench import BENCH_SCHEMA_VERSION, EventCounters, run_bench, write_bench
+from .bench import BENCH_SCHEMA_VERSION, run_bench, write_bench
 from .bus import EVENT_NAMES, NULL_BUS, TelemetryBus
 from .compare import MetricVerdict, compare_bench, compare_records, compare_paths
 from .diff import (
@@ -190,7 +191,6 @@ __all__ = [
     "EpochMetrics",
     "EpochSample",
     "EtaEstimator",
-    "EventCounters",
     "MetricVerdict",
     "ProgressReporter",
     "RunDigest",

@@ -26,13 +26,9 @@ import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from .bus import EVENT_NAMES
 from .runstore import git_revision
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.network import Network
 
 #: Version of the ``BENCH_<n>.json`` schema.
 BENCH_SCHEMA_VERSION = 1
@@ -68,37 +64,6 @@ CASES: tuple[BenchCase, ...] = (
 )
 
 CASE_NAMES: tuple[str, ...] = tuple(case.name for case in CASES)
-
-
-class EventCounters:
-    """Counts every telemetry-bus event by name (hot-path census)."""
-
-    def __init__(self, network: "Network") -> None:
-        self.network = network
-        self.counts: dict[str, int] = dict.fromkeys(EVENT_NAMES, 0)
-        self._callbacks: dict[str, Callable[..., None]] = {}
-        bus = network.telemetry
-        for name in EVENT_NAMES:
-            callback = self._make_counter(name)
-            self._callbacks[name] = callback
-            bus.subscribe(name, callback)
-
-    def _make_counter(self, name: str) -> Callable[..., None]:
-        counts = self.counts
-
-        def on_event(*_args: Any) -> None:
-            counts[name] += 1
-
-        return on_event
-
-    def detach(self) -> None:
-        bus = self.network.telemetry
-        for name, callback in self._callbacks.items():
-            bus.unsubscribe(name, callback)
-        self._callbacks.clear()
-
-    def nonzero(self) -> dict[str, int]:
-        return {name: count for name, count in self.counts.items() if count}
 
 
 def _median_iqr(samples: Sequence[float]) -> tuple[float, float]:
@@ -141,15 +106,14 @@ def _run_case(
     assert result is not None
     cps = [cycles / wall for wall in walls if wall > 0]
 
-    # One extra instrumented repetition for the hot-path event census
-    # (untimed: the counters themselves cost per-event dispatches).  The
-    # run digest rides the same repetition, so BENCH documents carry a
+    # One extra instrumented repetition for the run digest (untimed: its
+    # taps cost per-event dispatches).  Its per-event counts are the
+    # hot-path census, so BENCH documents carry exact event counts and a
     # reproducibility fingerprint without adding a timed subscriber.
     from .digest import RunDigest
 
     stats = Stats(measure_from=warmup)
     network = build_network(spec, stats)
-    counters = EventCounters(network)
     digest = RunDigest(network)
     digest.meta = {
         "system": spec.name,
@@ -171,7 +135,6 @@ def _run_case(
         seed=seed,
     )
     Engine(network, workload, stats).run(cycles)
-    counters.detach()
     digest.detach()
 
     # One more untimed repetition with the host-time ledger attached: the
@@ -212,7 +175,7 @@ def _run_case(
         "config_hash": result.config_hash,
         "wall_s": {"median": wall_median, "iqr": wall_iqr, "samples": walls},
         "cps": {"median": cps_median, "iqr": cps_iqr, "samples": cps},
-        "events": counters.nonzero(),
+        "events": {name: count for name, count in digest.counts.items() if count},
         "digest": digest.summary(),
         "host": host,
         "mem": mem,

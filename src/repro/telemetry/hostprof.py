@@ -1,29 +1,29 @@
 """Host wall-time attribution and profiler folding (``repro profile``).
 
-PR 4's latency ledger answered "where do a packet's *simulated* cycles
-go?".  This module answers the twin question for the machine running the
+The latency ledger answers "where do a packet's *simulated* cycles go?".
+This module answers the twin question for the machine running the
 simulation: **where does host wall-clock time go inside the per-cycle
-loop?**  That attribution is the oracle the planned batched engine core
-will be motivated and validated against — you cannot claim a kernel
-rewrite helped a phase you never measured.
+loop?**  You cannot claim a rewrite helped a phase you never measured.
 
 Two instruments live here:
 
-* :class:`HostTimeLedger` — cheap ``perf_counter_ns`` phase timers the
-  engine installs at its phase boundaries (see
-  :meth:`repro.sim.engine.Engine.run` and the ``step_timed`` hooks on
-  :class:`~repro.noc.router.Router`, :class:`~repro.noc.link.Link` and
-  :class:`~repro.core.phy.HeteroPhyLink`).  Attributed time is checked
-  against the timed-loop total (the same conservation discipline as the
-  latency ledger's invariant).  A *strided* mode times every Nth cycle
-  and extrapolates, dropping overhead below the 5% budget.
+* :class:`HostTimeLedger` — ``perf_counter_ns`` lap timers.  The engine
+  has one cycle loop and no timing code of its own:
+  :meth:`HostTimeLedger.attach` installs lap-timing wrappers as instance
+  attributes over the phase sites (the engine tick, the network step,
+  each router stage, each link step, each hetero-PHY receive and credit
+  delivery) and :meth:`HostTimeLedger.detach` removes them again.
+  Attributed time is checked against the timed-loop total (the same
+  conservation discipline as the latency ledger's invariant).  A
+  *strided* mode times every Nth cycle and extrapolates; off-stride
+  cycles skip the clock reads but still pass through the wrappers.
 * cProfile **folding** — :func:`fold_profile` maps every profiled
   function to a phase-rooted synthetic stack, emitted as a
   speedscope-compatible JSON document (:func:`speedscope_document`) and
   as collapsed-stack flamegraph text (:func:`collapsed_stacks`).
 
-Pure stdlib; simulator types appear only under ``TYPE_CHECKING`` (see
-the package initializer's import note).
+Pure stdlib; simulator types are imported inside functions or under
+``TYPE_CHECKING`` only (see the package initializer's import note).
 """
 
 from __future__ import annotations
@@ -33,32 +33,34 @@ import math
 import pstats
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import cProfile
 
+    from repro.sim.engine import Engine
+
 #: Host phases the engine attributes wall time to, in pipeline order.
-#: The string literals at the timing sites (``Engine._tick_profiled``,
-#: ``Network.step_timed``, ``Router.step_timed``, ``Link.step_timed``,
-#: ``HeteroPhyLink.step_timed``) must stay in sync with this tuple —
-#: ``tests/test_hostprof.py`` checks that a profiled run never
-#: accumulates time under an unknown phase name.
+#: :meth:`HostTimeLedger.attach` is the only place that names them at a
+#: timing site; each wrapper charges the lap since the previous clock
+#: reading to its phase, so everything between two sites (work-list
+#: bookkeeping, the timers themselves) lands in the phase that follows.
 PHASES: tuple[str, ...] = (
-    "inject",  # workload step + packet injection (source queues)
+    "inject",  # workload step + packet injection (lap up to network.step)
     "rc_va",  # router routing computation + VC allocation
     "sa_st",  # router switch allocation + switch traversal
     "link",  # plain pipelined-link advance (incl. credit delivery)
     "phy_rx",  # hetero-PHY receive: ROB insert/release to downstream
     "phy_tx",  # hetero-PHY serialize/dispatch + credit delivery
-    "telemetry",  # cycle_end bus fan-out (per-event dispatch costs land
-    #               in the phase whose code emitted the event)
+    "telemetry",  # network.step tail: cycle_end bus fan-out (per-event
+    #               dispatch costs land in the phase that emitted the event)
     "stats",  # engine epilogue: deadlock watchdog + cycle bookkeeping
 )
 
 #: Synthetic phase charged with the residual between the timed-loop
-#: total and the sum of attributed phases: work-list bookkeeping,
-#: activity-flag maintenance and the timers themselves.
+#: total and the sum of attributed phases (zero while the wrappers' laps
+#: chain exactly); folded profiles also root the engine and network loop
+#: functions here.
 RESIDUAL_PHASE = "dispatch"
 
 #: Every phase a summary can carry, in rendering order — the timed
@@ -78,16 +80,19 @@ class HostprofError(RuntimeError):
 class HostTimeLedger:
     """Attributes engine wall time to named phases.
 
-    One ledger observes one engine run.  Attach it before the run
-    (``engine.hostprof = ledger`` or ``TelemetryConfig(host_time=True)``)
-    and read :meth:`summary` afterwards.  ``stride=N`` times every Nth
-    cycle and extrapolates (the estimator assumes sampled cycles are
-    representative, which holds for the stationary workloads of the
-    bench suite); ``stride=1`` times every cycle.
+    One ledger observes one engine run.  :meth:`attach` it before the run
+    (``TelemetryConfig(host_time=True)`` does that in the experiment
+    harness), :meth:`detach` it afterwards and read :meth:`summary`.
+    ``stride=N`` times every Nth cycle and extrapolates (the estimator
+    assumes sampled cycles are representative, which holds for the
+    stationary workloads of the bench suite); ``stride=1`` times every
+    cycle.
 
-    The ledger is a passive observer: it never touches simulator state,
-    so a run with the ledger attached produces byte-identical statistics
-    to one without (checked by ``tests/test_hostprof.py``).
+    The ledger is a passive observer: its wrappers call the methods they
+    shadow with the same arguments in the same order and never touch
+    simulator state, so a run with the ledger attached produces
+    byte-identical statistics to one without (checked by
+    ``tests/test_hostprof.py``).
     """
 
     def __init__(
@@ -108,8 +113,106 @@ class HostTimeLedger:
         self.total_cycles = 0
         #: Total wall nanoseconds of the timed ticks (phase sums + residual).
         self.loop_ns = 0
+        #: ``(instance, attribute)`` of every wrapper :meth:`attach` installed.
+        self._installed: list[tuple[Any, str]] = []
 
-    # -- engine-side hooks --------------------------------------------------
+    # -- installation -------------------------------------------------------
+    def attach(self, engine: "Engine") -> None:
+        """Install the lap-timing wrappers on ``engine`` and its network.
+
+        Each wrapper is an instance attribute that shadows the method the
+        instance resolves at attach time (so a method patched on the class
+        beforehand is the one timed) and charges the lap since the previous
+        clock reading to its phase:
+
+        * ``engine._tick`` — opens the lap on timed cycles, charges the
+          epilogue to ``stats`` and books the loop total;
+        * ``network.step`` — ``inject`` on entry, ``telemetry`` at its tail;
+        * each router's ``_stage_rc_va`` / ``_stage_sa`` — ``rc_va`` /
+          ``sa_st``;
+        * each plain link's ``step`` — ``link``;
+        * each hetero-PHY link's ``_receive`` — ``phy_rx`` — and
+          ``_deliver_credits`` — ``phy_tx``, which also covers the
+          ``_dispatch`` between the two.
+
+        Every lap ends where the next starts, so the phases sum to the
+        timed-loop total exactly.  On stride-skipped cycles no lap is
+        open and the wrappers only pass through.
+        """
+        if self._installed:
+            raise RuntimeError("ledger is already attached")
+        from repro.core.phy import HeteroPhyLink  # simulator import, deferred
+
+        clock = self.clock
+        phases = self.phases
+        wants = self.wants
+        # Clock reading that ends the current lap; None off timed cycles.
+        lap: Optional[int] = None
+
+        def timed(method: Callable[[int], Any], phase: str) -> Callable[[int], Any]:
+            def wrapper(now: int) -> Any:
+                nonlocal lap
+                result = method(now)
+                if lap is not None:
+                    t = clock()
+                    phases[phase] += t - lap
+                    lap = t
+                return result
+
+            return wrapper
+
+        tick = engine._tick
+
+        def timed_tick() -> None:
+            nonlocal lap
+            if not wants(engine.cycle):
+                tick()
+                self.note_plain_cycle()
+                return
+            start = lap = clock()
+            tick()
+            t = clock()
+            phases["stats"] += t - lap
+            lap = None
+            self.note_timed_cycle(t - start)
+
+        network = engine.network
+        network_step = timed(network.step, "telemetry")
+
+        def timed_network_step(now: int) -> None:
+            nonlocal lap
+            if lap is not None:
+                t = clock()
+                phases["inject"] += t - lap
+                lap = t
+            network_step(now)
+
+        def install(obj: Any, name: str, wrapper: Callable[..., Any]) -> None:
+            setattr(obj, name, wrapper)
+            self._installed.append((obj, name))
+
+        def wrap(obj: Any, name: str, phase: str) -> None:
+            install(obj, name, timed(getattr(obj, name), phase))
+
+        install(engine, "_tick", timed_tick)
+        install(network, "step", timed_network_step)
+        for router in network.routers:
+            wrap(router, "_stage_rc_va", "rc_va")
+            wrap(router, "_stage_sa", "sa_st")
+        for link in network.links:
+            if isinstance(link, HeteroPhyLink):
+                wrap(link, "_receive", "phy_rx")
+                wrap(link, "_deliver_credits", "phy_tx")
+            else:
+                wrap(link, "step", "link")
+
+    def detach(self) -> None:
+        """Remove every installed wrapper; a no-op when not attached."""
+        for obj, name in self._installed:
+            vars(obj).pop(name, None)
+        self._installed.clear()
+
+    # -- cycle accounting (called by the tick wrapper) ------------------------
     def wants(self, cycle: int) -> bool:
         """True when ``cycle`` should be timed (the stride filter)."""
         return cycle % self.stride == 0

@@ -1,12 +1,13 @@
 """One-call attachment of the full telemetry stack to a network.
 
 :class:`TelemetryConfig` is the declarative surface exposed by the CLI
-(``repro simulate --metrics DIR --trace FILE --epoch N --profile``) and by
-the experiment harness (``run_synthetic(..., telemetry=...)``); a
+(``repro simulate --metrics DIR --trace FILE --epoch N``) and by the
+experiment harness (``run_synthetic(..., telemetry=...)``); a
 :class:`TelemetrySession` instantiates the requested collectors against a
 built network's bus and, at :meth:`~TelemetrySession.finalize`, flushes
-their outputs to disk and detaches everything so the network returns to
-the zero-subscriber fast path.
+their outputs to disk and detaches everything — bus subscribers and the
+host-time ledger's wrappers alike — so the network returns to the
+zero-subscriber fast path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .trace import ChromeTraceBuilder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Packet
     from repro.noc.network import Network
-    from repro.sim.engine import ProfileReport
 
 
 @dataclass
@@ -54,15 +54,9 @@ class TelemetryConfig:
     progress_every: int = 5_000
     #: Progress destination (default: stderr).
     progress_stream: Optional[IO[str]] = None
-    #: Profile the run with cProfile and keep the report
-    #: (``RunResult.telemetry.profile_report``; ``repro profile`` is the
-    #: CLI front end that folds it into speedscope / flamegraph output).
-    profile: bool = False
-    #: Number of hottest functions in the profile report.
-    profile_top: int = 25
     #: Attach the host wall-time ledger
     #: (:class:`~repro.telemetry.hostprof.HostTimeLedger`): attribute
-    #: engine wall time to named phases at <5% overhead when strided.
+    #: engine wall time to named phases.
     host_time: bool = False
     #: Time every Nth cycle and extrapolate (1: time every cycle).
     host_stride: int = 1
@@ -132,7 +126,7 @@ class TelemetrySession:
     ledger: Optional[LatencyLedger] = None
     forensics: Optional[ForensicsSession] = None
     #: Host wall-time ledger (set when ``host_time`` was requested; the
-    #: harness installs it as ``engine.hostprof``).
+    #: harness attaches it to the engine, :meth:`finalize` detaches it).
     hostprof: Optional[HostTimeLedger] = None
     #: Live JSONL feed for ``repro watch`` (set when ``live`` was
     #: requested; the harness installs it as ``engine.livefeed`` so the
@@ -140,12 +134,6 @@ class TelemetrySession:
     live: Optional[LiveFeed] = None
     #: Streaming run digest (set when ``digest`` was requested).
     digest: Optional[RunDigest] = None
-    #: cProfile capture (set by the harness when profiling was requested).
-    profile_report: Optional["ProfileReport"] = None
-    #: Deprecated: rendered pstats text of ``profile_report``.  Kept for
-    #: callers of the old ``--profile`` dump; prefer ``profile_report``
-    #: and the ``repro profile`` speedscope artifact.
-    profile_text: Optional[str] = None
     #: Files written by :meth:`finalize`.
     written: list[Path] = field(default_factory=list)
 
@@ -223,7 +211,9 @@ class TelemetrySession:
         return session
 
     def finalize(self, end_cycle: int) -> list[Path]:
-        """Close collectors, write outputs, detach from the bus."""
+        """Close collectors, write outputs, detach from the bus and engine."""
+        if self.hostprof is not None:
+            self.hostprof.detach()
         if self.progress is not None:
             self.progress.close()
         if self.metrics is not None:

@@ -278,6 +278,37 @@ def test_load_bench_rejects_foreign_schema(tmp_path):
 
 
 # -- the suite itself --------------------------------------------------------
+def census_digest(case, cycles, warmup, *, seed):
+    """Re-run one bench case with a :class:`RunDigest` tapping the bus."""
+    from repro.sim.build import build_network
+    from repro.sim.config import SimConfig
+    from repro.sim.engine import Engine
+    from repro.sim.stats import Stats
+    from repro.telemetry.digest import RunDigest
+    from repro.topology.grid import ChipletGrid
+    from repro.topology.system import build_system
+    from repro.traffic.injection import SyntheticWorkload
+    from repro.traffic.patterns import make_pattern
+
+    grid = ChipletGrid(*case.chiplets, *case.nodes)
+    config = SimConfig().replace(sim_cycles=cycles, warmup_cycles=warmup)
+    spec = build_system(case.family, grid, config)
+    stats = Stats(measure_from=warmup)
+    network = build_network(spec, stats)
+    digest = RunDigest(network)
+    workload = SyntheticWorkload(
+        make_pattern(case.pattern, grid.n_nodes),
+        grid.n_nodes,
+        case.rate,
+        config.packet_length,
+        until=cycles,
+        seed=seed,
+    )
+    Engine(network, workload, stats).run(cycles)
+    digest.detach()
+    return digest
+
+
 def test_run_bench_single_case_smoke():
     case = CASES[1]  # fig14_hetero_channel: the smallest system of the canon
     doc = run_bench(scale="tiny", reps=1, seed=1, cases=[case], git_rev="cafef00d")
@@ -293,6 +324,11 @@ def test_run_bench_single_case_smoke():
     # added for latency attribution.
     assert measured["events"]["route_compute"] > 0
     assert measured["events"]["vc_alloc"] > 0
+    # The census is the untimed digest rep's per-event counts (cycle_end
+    # included): a same-seed re-run reproduces it key for key.
+    digest = census_digest(case, measured["cycles"], measured["warmup"], seed=1)
+    assert measured["events"] == {k: v for k, v in digest.counts.items() if v}
+    assert measured["events"]["cycle_end"] == measured["cycles"]
     assert math.isfinite(measured["stats"]["avg_latency"])
     assert len(measured["config_hash"]) == 12
     text = render_bench(doc)

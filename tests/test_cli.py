@@ -110,7 +110,6 @@ def test_simulate_telemetry_flags(tmp_path, capsys):
             str(metrics_dir),
             "--trace",
             str(trace_path),
-            "--profile",
         ]
     )
     assert code == 0
@@ -120,7 +119,6 @@ def test_simulate_telemetry_flags(tmp_path, capsys):
     trace = json.loads(trace_path.read_text())
     assert trace["traceEvents"]
     assert out.count("wrote ") >= 8  # 7 metric files + the trace
-    assert "function calls" in out  # cProfile report printed
 
 
 def test_check_single_family_passes(capsys):
@@ -611,6 +609,7 @@ def test_profile_cli_writes_artifacts(tmp_path, capsys):
             "2",
             "--out-dir",
             str(out_dir),
+            "--pstats",
         ]
     )
     assert code == 0
@@ -621,8 +620,16 @@ def test_profile_cli_writes_artifacts(tmp_path, capsys):
     assert 0.95 <= host["conservation"] <= 1.05
     doc = load_speedscope(out_dir / "profile.speedscope.json")
     validate_speedscope(doc)
+    frames = doc["shared"]["frames"]
+    roots = {frames[sample[0]]["name"] for sample in doc["profiles"][0]["samples"]}
+    assert roots == {"engine"}
     folded = (out_dir / "profile.folded.txt").read_text()
     assert folded.splitlines() and folded.startswith("engine;")
+    # The capture folds onto the ledger's phase taxonomy.
+    phases_seen = {line.split(";")[1] for line in folded.splitlines()}
+    assert {"sa_st", "link"} <= phases_seen
+    # --pstats prints the classic table, cumulative-time sorted.
+    assert "function calls" in out and "cumulative" in out
 
 
 def test_profile_cli_mem_mode(tmp_path, capsys):

@@ -186,6 +186,115 @@ def test_router_work_lands_in_pipeline_phases():
     assert summary["phases"][RESIDUAL_PHASE]["share"] < 0.01
 
 
+def test_conservation_and_passive_observer_under_run_trace():
+    from repro.sim.experiment import run_trace
+    from repro.traffic.trace import Trace, TraceRecord
+
+    n = small_spec().grid.n_nodes
+
+    def trace():
+        records = [
+            TraceRecord(t, t % n, (7 * t + 11) % n, 4)
+            for t in range(0, 600, 3)
+            if t % n != (7 * t + 11) % n
+        ]
+        return Trace(records, name="mix")
+
+    baseline = run_trace(small_spec(), trace())
+    ledgered = run_trace(
+        small_spec(),
+        trace(),
+        telemetry=TelemetryConfig(host_time=True, epoch_metrics=False),
+    )
+    ledger = ledgered.telemetry.hostprof
+    # The drain path is timed every cycle and attributed exactly.
+    assert ledger.timed_cycles == ledger.total_cycles == ledgered.cycles
+    assert ledger.conservation == 1.0
+    assert sum(ledger.phases.values()) == ledger.loop_ns
+    assert json.dumps(baseline.stats.summary(), sort_keys=True) == json.dumps(
+        ledgered.stats.summary(), sort_keys=True
+    )
+    assert baseline.cycles == ledgered.cycles
+
+
+#: Instance attributes :meth:`HostTimeLedger.attach` may install.
+WRAPPED = {"_tick", "step", "_stage_rc_va", "_stage_sa", "_receive", "_deliver_credits"}
+
+
+def installed_wrappers(engine):
+    """``(type, attribute)`` of every ledger wrapper left on an instance."""
+    network = engine.network
+    instances = [engine, network, *network.routers, *network.links]
+    return sorted(
+        (type(obj).__name__, name)
+        for obj in instances
+        for name in WRAPPED & set(vars(obj))
+    )
+
+
+def test_finalize_removes_every_wrapper_after_a_normal_run(monkeypatch):
+    from repro.sim import experiment
+
+    engines = []
+
+    class RecordingEngine(experiment.Engine):
+        def run(self, cycles):
+            # The harness attaches the ledger between construction and run.
+            engines.append((self, installed_wrappers(self)))
+            return super().run(cycles)
+
+    monkeypatch.setattr(experiment, "Engine", RecordingEngine)
+    _, ledger = run_with_ledger(small_spec(cycles=200))
+    ((engine, at_start),) = engines
+    kinds = {kind for kind, _ in at_start}
+    assert kinds == {
+        "RecordingEngine", "Network", "Router", "PipelinedLink", "HeteroPhyLink",
+    }
+    assert installed_wrappers(engine) == []
+    assert ledger.timed_cycles == 200
+    ledger.detach()  # a second detach is a no-op
+
+
+def test_finalize_removes_every_wrapper_after_a_failed_run():
+    from repro.sim.build import build_network
+    from repro.sim.engine import Engine
+    from repro.sim.stats import DeadlockError, Stats
+    from repro.telemetry import TelemetrySession
+    from repro.traffic.injection import SyntheticWorkload
+    from repro.traffic.patterns import make_pattern
+
+    from .test_forensics import ring_routing
+
+    # The examples/forced_deadlock.py ring: eastward-only routing wedges.
+    grid = ChipletGrid(2, 1, 2, 2)
+    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
+    spec = build_system("serial_torus", grid, config)
+    stats = Stats()
+    network = build_network(spec, stats, routing=ring_routing)
+    workload = SyntheticWorkload(
+        make_pattern("uniform", grid.n_nodes),
+        grid.n_nodes,
+        1.0,
+        spec.config.packet_length,
+        seed=3,
+    )
+    engine = Engine(network, workload, stats, deadlock_threshold=300)
+    session = TelemetrySession.attach(
+        network, TelemetryConfig(host_time=True, epoch_metrics=False)
+    )
+    session.hostprof.attach(engine)
+    assert installed_wrappers(engine)
+    with pytest.raises(RuntimeError, match="already attached"):
+        session.hostprof.attach(engine)
+    with pytest.raises(DeadlockError):
+        try:
+            engine.run(4_000)
+        finally:
+            session.finalize(engine.cycle)
+    assert installed_wrappers(engine) == []
+    assert session.hostprof.timed_cycles > 0
+
+
 # -- cProfile folding + speedscope -------------------------------------------
 def test_phase_of_mapping():
     assert phase_of("src/repro/noc/router.py", "_stage_rc_va") == "rc_va"

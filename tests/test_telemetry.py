@@ -375,7 +375,6 @@ def test_run_synthetic_telemetry_session(tmp_path, small_grid):
         metrics_dir=tmp_path / "metrics",
         trace_path=tmp_path / "trace.json",
         epoch_length=400,
-        profile=True,
         breakdown_csv=tmp_path / "breakdown.csv",  # implies the ledger
     )
     result = run_synthetic(spec, "uniform", 0.05, telemetry=config)
@@ -386,7 +385,6 @@ def test_run_synthetic_telemetry_session(tmp_path, small_grid):
     assert (tmp_path / "breakdown.csv") in session.written
     assert session.ledger.packets == result.stats.packets_delivered
     assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
-    assert "function calls" in session.profile_text
     # Warm-up exclusion: the first epoch (start 0 < 200) is flagged.
     flagged = session.metrics.epochs(include_warmup=True)
     assert flagged[0].warmup and not flagged[-1].warmup
@@ -438,37 +436,6 @@ def test_run_synthetic_without_telemetry_has_none():
     ))
     result = run_synthetic(spec, "uniform", 0.05)
     assert result.telemetry is None
-
-
-def test_engine_run_profiled_reports():
-    from repro.sim.engine import Engine
-
-    network, stats = build_chain(3)
-
-    class Once:
-        def __init__(self):
-            self.sent = False
-
-        def step(self, now):
-            if not self.sent:
-                self.sent = True
-                return [Packet(0, 2, 4, now)]
-            return []
-
-        def done(self, now):
-            return self.sent
-
-    engine = Engine(network, Once(), stats)
-    result, report = engine.run_profiled(50)
-    assert result is stats
-    assert stats.packets_delivered == 1
-    assert "function calls" in report.text()
-    # The capture folds into phase-rooted stacks and a valid speedscope doc.
-    folded = report.folded()
-    assert folded and all(stack[0] == "engine" for stack, _ in folded)
-    from repro.telemetry.hostprof import validate_speedscope
-
-    validate_speedscope(report.speedscope(name="unit"))
 
 
 # -- epoch metrics edge cases -------------------------------------------------
